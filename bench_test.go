@@ -363,9 +363,7 @@ func BenchmarkFleetRebalance(b *testing.B) {
 	for _, jobs := range []int{4, 16} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			tr := sc.TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
-			// Speculation off: this row pins the foreground rebalance cost;
-			// the prefetch layer has its own row (BenchmarkReplanSpeculative).
-			svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, WithoutSpeculation: true})
+			svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
 			for i := 0; i < jobs; i++ {
 				if err := svc.OpenJob(fmt.Sprintf("job-%d", i), sailor.OPT350M(),
 					[]core.GPUType{core.A100}, jobs-i); err != nil {

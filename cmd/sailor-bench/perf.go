@@ -318,9 +318,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	// order and Rebalance replans the broken jobs warm in priority order.
 	for _, jobs := range []int{4, 16} {
 		fleetTrace := sc.TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
-		// Speculation off: these rows pin the foreground rebalance cost;
-		// the prefetch layer has its own row (replan_speculative above).
-		fleetSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1, WithoutSpeculation: true})
+		fleetSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
 		for i := 0; i < jobs; i++ {
 			if err := fleetSvc.OpenJob(fmt.Sprintf("fleet-%d", i), sailor.OPT350M(),
 				[]core.GPUType{core.A100}, jobs-i); err != nil {

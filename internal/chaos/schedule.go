@@ -20,9 +20,9 @@
 package chaos
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+
+	"repro/internal/envelope"
 )
 
 // FileVersion is the fault-schedule schema version this build speaks. It
@@ -30,8 +30,8 @@ import (
 // every other version by name.
 const FileVersion = 1
 
-// fileKind is the envelope kind of a fault-schedule document.
-const fileKind = "fault-schedule"
+// fileFormat is the envelope of a fault-schedule document.
+var fileFormat = envelope.Format{Kind: "fault-schedule", Version: FileVersion, Name: "schedule", Strict: true}
 
 // Fault targets: which I/O seam a rule arms.
 const (
@@ -115,14 +115,6 @@ type Schedule struct {
 	Faults []Rule
 }
 
-// fileEnvelope mirrors wire.Envelope so chaos stays independent of the
-// wire package's import graph.
-type fileEnvelope struct {
-	V    int             `json:"v"`
-	Kind string          `json:"kind"`
-	Body json.RawMessage `json:"body"`
-}
-
 type fileBody struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
@@ -148,15 +140,11 @@ func Marshal(s *Schedule) ([]byte, error) {
 		Seed:        norm.Seed,
 		Faults:      norm.Faults,
 	}
-	raw, err := json.Marshal(body)
+	doc, err := fileFormat.Encode(body, true)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: Marshal %q: %w", s.Name, err)
 	}
-	doc, err := json.MarshalIndent(fileEnvelope{V: FileVersion, Kind: fileKind, Body: raw}, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("chaos: Marshal %q: %w", s.Name, err)
-	}
-	return append(doc, '\n'), nil
+	return doc, nil
 }
 
 // Unmarshal decodes a versioned fault-schedule document, rejecting unknown
@@ -164,21 +152,9 @@ func Marshal(s *Schedule) ([]byte, error) {
 // a malformed script fails loudly at the boundary instead of silently
 // never firing.
 func Unmarshal(data []byte) (*Schedule, error) {
-	var env fileEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("chaos: decode envelope: %w", err)
-	}
-	if env.V != FileVersion {
-		return nil, fmt.Errorf("chaos: unsupported fault-schedule schema version %d (this build speaks v%d)", env.V, FileVersion)
-	}
-	if env.Kind != fileKind {
-		return nil, fmt.Errorf("chaos: kind %q, want %q", env.Kind, fileKind)
-	}
-	dec := json.NewDecoder(bytes.NewReader(env.Body))
-	dec.DisallowUnknownFields()
 	var body fileBody
-	if err := dec.Decode(&body); err != nil {
-		return nil, fmt.Errorf("chaos: decode schedule body: %w", err)
+	if err := fileFormat.Decode(data, &body); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	s := &Schedule{Name: body.Name, Description: body.Description, Seed: body.Seed, Faults: body.Faults}
 	return normalize(s)

@@ -13,9 +13,7 @@ package persist
 // record is never surfaced.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -72,13 +70,9 @@ type Record struct {
 
 // encodeRecord renders one framed journal record.
 func encodeRecord(rec Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
+	payload, err := journalFormat.Encode(rec, false)
 	if err != nil {
 		return nil, fmt.Errorf("persist: marshal record %d: %w", rec.Seq, err)
-	}
-	payload, err := json.Marshal(wire.Envelope{V: FormatVersion, Kind: wire.KindJournal, Body: body})
-	if err != nil {
-		return nil, fmt.Errorf("persist: marshal record %d envelope: %w", rec.Seq, err)
 	}
 	if len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("persist: record %d is %d bytes, over the %d limit", rec.Seq, len(payload), maxRecordBytes)
@@ -130,23 +124,9 @@ func decodeJournal(data []byte) (recs []Record, tail int, err error) {
 
 // decodeRecordPayload parses one checksummed envelope payload strictly.
 func decodeRecordPayload(payload []byte) (Record, error) {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	var env wire.Envelope
-	if err := dec.Decode(&env); err != nil {
-		return Record{}, fmt.Errorf("persist: decode record envelope: %w", err)
-	}
-	if err := wire.Check(env.V); err != nil {
-		return Record{}, fmt.Errorf("persist: journal: %w", err)
-	}
-	if env.Kind != wire.KindJournal {
-		return Record{}, fmt.Errorf("persist: record kind %q, want %q", env.Kind, wire.KindJournal)
-	}
-	bodyDec := json.NewDecoder(bytes.NewReader(env.Body))
-	bodyDec.DisallowUnknownFields()
 	var rec Record
-	if err := bodyDec.Decode(&rec); err != nil {
-		return Record{}, fmt.Errorf("persist: decode record body: %w", err)
+	if err := journalFormat.Decode(payload, &rec); err != nil {
+		return Record{}, fmt.Errorf("persist: journal: %w", err)
 	}
 	switch rec.Op {
 	case OpOpenJob, OpCloseJob, OpJobPlan, OpSetFleet, OpInstall, OpRelease, OpEvent, OpSetCap:

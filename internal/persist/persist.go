@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/fleet"
 	"repro/internal/model"
 	"repro/internal/wire"
@@ -55,6 +56,13 @@ import (
 // records. It moves in lockstep with wire.Version (pinned by a test):
 // decoding rejects every other version by name.
 const FormatVersion = wire.Version
+
+// snapshotFormat and journalFormat are the envelopes of the two on-disk
+// documents; both reject unknown fields.
+var (
+	snapshotFormat = envelope.Format{Kind: wire.KindSnapshot, Version: FormatVersion, Strict: true}
+	journalFormat  = envelope.Format{Kind: wire.KindJournal, Version: FormatVersion, Name: "record", Strict: true}
+)
 
 // FsyncPolicy says when the journal is flushed to stable storage.
 type FsyncPolicy string

@@ -40,7 +40,7 @@ package planner
 // so floating-point reassociation can never flip an exact tie, pruning fires
 // only on strict inequality, and it activates only for evaluators declaring
 // the BoundPrunable admissibility property. Options.DisableDominancePruning
-// (sailor.WithoutDominancePruning) turns it off for ablations; like
+// (System.DisableDominancePruning) turns it off for ablations; like
 // DisableBoundPruning it is excluded from the warm-cache fingerprint because
 // cached entries are pure functions of their keys either way.
 

@@ -83,11 +83,10 @@ type WarmCache struct {
 	// against, compared by identity. Holding the reference also keeps the
 	// evaluator alive, so a recycled allocation can never alias a new
 	// evaluator onto stale entries.
-	ev     Evaluator
-	dp     map[warmDPKey]*dpNode
-	est    map[string]core.Estimate
-	minTP  *minTPCache
-	merges int
+	ev    Evaluator
+	dp    map[warmDPKey]*dpNode
+	est   map[string]core.Estimate
+	minTP *minTPCache
 	// lastShape/lastRoot record the previous search's root availability
 	// (shape descriptor + flattened counts matrix), the reference point the
 	// incremental delta detection compares the next pool against (see
@@ -166,7 +165,6 @@ func (w *WarmCache) Clone() *WarmCache {
 		dp:        w.dp,
 		est:       w.est,
 		minTP:     w.minTP,
-		merges:    w.merges,
 		lastShape: w.lastShape,
 		lastRoot:  w.lastRoot,
 	}
@@ -228,7 +226,6 @@ func (w *WarmCache) merge(fp string, dp map[warmDPKey]*dpNode, est map[string]co
 		}
 		w.est = next
 	}
-	w.merges++
 }
 
 // noteRoot records the root availability a search ran against, so the next
@@ -293,11 +290,4 @@ func (w *WarmCache) Entries() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return len(w.dp) + len(w.est)
-}
-
-// Merges reports how many searches have published entries into the cache.
-func (w *WarmCache) Merges() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.merges
 }

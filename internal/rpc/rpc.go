@@ -401,6 +401,9 @@ func (c *Client) Call(method string, req, resp any) error {
 // reply and returns ctx.Err(). The connection stays usable — a late reply
 // to an abandoned id is dropped by the read loop.
 func (c *Client) CallContext(ctx context.Context, method string, req, resp any) error {
+	if err := ctx.Err(); err != nil {
+		return err // never send a call its caller has already abandoned
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err

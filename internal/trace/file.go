@@ -6,10 +6,11 @@ package trace
 // exactly like the built-in scenario families.
 //
 // The document is the same self-describing envelope internal/wire speaks —
-// {"v":1,"kind":"trace","body":{...}} — but the codec lives here rather
-// than in wire because wire imports this package; wire re-exports it as
-// MarshalTrace/UnmarshalTrace so the two surfaces stay in lockstep (a test
-// in internal/wire pins FileVersion == wire.Version).
+// {"v":1,"kind":"trace","body":{...}}, encoded by internal/envelope — but
+// the codec lives here rather than in wire because wire imports this
+// package; wire re-exports it as MarshalTrace/UnmarshalTrace so the two
+// surfaces stay in lockstep (a test in internal/wire pins FileVersion ==
+// wire.Version).
 //
 // Encoding is canonical and deterministic: events are stably sorted by
 // timestamp (insertion order preserved within one instant — order matters
@@ -21,9 +22,7 @@ package trace
 // log fails loudly at the boundary instead of corrupting a replay.
 
 import (
-	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -31,14 +30,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 )
 
 // FileVersion is the trace-file schema version this build speaks. It moves
 // in lockstep with wire.Version; decoders reject every other version.
 const FileVersion = 1
 
-// fileKind is the envelope kind of a trace document.
-const fileKind = "trace"
+// fileFormat is the envelope of a trace document.
+var fileFormat = envelope.Format{Kind: "trace", Version: FileVersion, Name: "trace-file", Strict: true}
 
 // File is a named external availability trace — the unit sailor-replay
 // -trace loads and sailor-advgen writes.
@@ -49,14 +49,6 @@ type File struct {
 	Description string
 	// Trace is the canonical (sorted) event sequence.
 	Trace *Trace
-}
-
-// fileEnvelope mirrors wire.Envelope so the trace package stays free of a
-// dependency on internal/wire (which imports this package).
-type fileEnvelope struct {
-	V    int             `json:"v"`
-	Kind string          `json:"kind"`
-	Body json.RawMessage `json:"body"`
 }
 
 type fileBody struct {
@@ -115,36 +107,20 @@ func Save(f *File) ([]byte, error) {
 	for _, c := range t.CapEvents {
 		body.CapEvents = append(body.CapEvents, fileCap{AtNS: c.At.Nanoseconds(), GPUs: c.GPUs})
 	}
-	raw, err := json.Marshal(body)
+	doc, err := fileFormat.Encode(body, true)
 	if err != nil {
 		return nil, fmt.Errorf("trace: Save %q: %w", f.Name, err)
 	}
-	doc, err := json.MarshalIndent(fileEnvelope{V: FileVersion, Kind: fileKind, Body: raw}, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("trace: Save %q: %w", f.Name, err)
-	}
-	return append(doc, '\n'), nil
+	return doc, nil
 }
 
 // Load decodes a versioned trace document, rejecting unknown schema
 // versions and kinds by name, validating the replay invariants, and
 // canonicalizing the event order.
 func Load(data []byte) (*File, error) {
-	var env fileEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("trace: decode envelope: %w", err)
-	}
-	if env.V != FileVersion {
-		return nil, fmt.Errorf("trace: unsupported trace-file schema version %d (this build speaks v%d)", env.V, FileVersion)
-	}
-	if env.Kind != fileKind {
-		return nil, fmt.Errorf("trace: kind %q, want %q", env.Kind, fileKind)
-	}
-	dec := json.NewDecoder(bytes.NewReader(env.Body))
-	dec.DisallowUnknownFields()
 	var body fileBody
-	if err := dec.Decode(&body); err != nil {
-		return nil, fmt.Errorf("trace: decode trace body: %w", err)
+	if err := fileFormat.Decode(data, &body); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if body.Name == "" {
 		return nil, fmt.Errorf("trace: trace file has no name")

@@ -8,11 +8,11 @@ package wire
 // silently misreading fields.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/runtime"
@@ -43,33 +43,19 @@ const (
 )
 
 // Envelope wraps every standalone wire document.
-type Envelope struct {
-	V    int             `json:"v"`
-	Kind string          `json:"kind"`
-	Body json.RawMessage `json:"body"`
-}
+type Envelope = envelope.Envelope
 
 func marshal(kind string, body any) ([]byte, error) {
-	raw, err := json.Marshal(body)
+	doc, err := envelope.Format{Kind: kind, Version: Version}.Encode(body, false)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal %s: %w", kind, err)
 	}
-	return json.Marshal(Envelope{V: Version, Kind: kind, Body: raw})
+	return doc, nil
 }
 
 func unmarshal(data []byte, kind string, body any) error {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("wire: decode envelope: %w", err)
-	}
-	if err := Check(env.V); err != nil {
-		return err
-	}
-	if env.Kind != kind {
-		return fmt.Errorf("wire: kind %q, want %q", env.Kind, kind)
-	}
-	if err := json.Unmarshal(env.Body, body); err != nil {
-		return fmt.Errorf("wire: decode %s body: %w", kind, err)
+	if err := (envelope.Format{Kind: kind, Version: Version}).Decode(data, body); err != nil {
+		return fmt.Errorf("wire: %w", err)
 	}
 	return nil
 }

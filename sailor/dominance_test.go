@@ -3,7 +3,7 @@ package sailor
 import "testing"
 
 // TestWithoutDominancePruningParity covers the facade-level ablation knob:
-// a System built WithoutDominancePruning returns the identical plan and
+// a System with DisableDominancePruning set returns the identical plan and
 // estimate the default System returns on a heterogeneous pool, while the
 // default System visibly explores less — the knob only trades search work,
 // never answers.
@@ -14,10 +14,11 @@ func TestWithoutDominancePruningParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := New(OPT350M(), []GPUType{A100, V100}, WithWorkers(2), WithoutDominancePruning())
+	off, err := New(OPT350M(), []GPUType{A100, V100}, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	off.DisableDominancePruning = true
 	a, err := on.Plan(pool, MaxThroughput, Constraints{})
 	if err != nil {
 		t.Fatal(err)

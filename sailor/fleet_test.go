@@ -425,6 +425,44 @@ func TestRebalancePartitionedDeterminism(t *testing.T) {
 	}
 }
 
+// TestRebalanceShedSurfacesOverload: with every planner slot busy and the
+// wait queue full, a Rebalance that needs a search is shed, and the shed
+// surfaces as ErrOverloaded — so a client backs off — whether or not the
+// pass had solo candidates to search concurrently.
+func TestRebalanceShedSurfacesOverload(t *testing.T) {
+	zone := GCPZone("us-central1", 'a')
+	for _, sequential := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sequential=%v", sequential), func(t *testing.T) {
+			led := NewLedger(NewPool().Set(zone, A100, 8).Set(zone, V100, 8))
+			svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 2, MaxQueued: 1,
+				Fleet: led, SequentialRebalance: sequential})
+			for i, g := range []GPUType{A100, V100} {
+				if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), []GPUType{g}, 2-i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < cap(svc.sem); i++ {
+				svc.sem <- struct{}{}
+			}
+			svc.queued.Store(int64(svc.cfg.MaxQueued))
+			steps, err := svc.Rebalance(context.Background())
+			if !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("Rebalance with a full planner queue: steps %+v, err %v; want ErrOverloaded", steps, err)
+			}
+			if len(steps) != 0 {
+				t.Errorf("shed pass reported %d steps, want none", len(steps))
+			}
+			svc.queued.Store(0)
+			for i := 0; i < cap(svc.sem); i++ {
+				<-svc.sem
+			}
+			if steps, err := svc.Rebalance(context.Background()); err != nil || len(steps) != 2 {
+				t.Fatalf("Rebalance after the queue drained: %d steps, err %v", len(steps), err)
+			}
+		})
+	}
+}
+
 // TestFleetScenarioSequentialParity replays both fleet golden scenarios
 // (the contending jobs all share one GPU type, so the partitioned pass must
 // detect the conflict and fall back) at workers=1 and workers=8: the step

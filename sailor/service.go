@@ -103,21 +103,22 @@ type ServiceConfig struct {
 	// via FleetEvent preempt leases in deterministic admission order; and
 	// Rebalance replans every leaseless job, warm, in priority order.
 	Fleet *fleet.Ledger
-	// WithoutSpeculation disables the speculative plan prefetch layer
-	// (see speculation.go): no forecasting, no prefetch cache, every replan
-	// runs its search. Ablation/bisection knob — plans and estimates are
-	// identical either way; only latency and the spec_* counters change.
+	// WithoutSpeculation disables the speculative plan prefetch layer of
+	// non-fleet Replan (see speculation.go): no forecasting, no prefetch
+	// cache, every replan runs its search. Fleet mode never speculates.
+	// Ablation/bisection knob — plans and estimates are identical either
+	// way; only latency and the spec_* counters change.
 	WithoutSpeculation bool
 	// WithoutIncremental disables the planner's delta-scoped incremental
 	// replanning probe in every search the service runs, foreground and
 	// speculative alike. Ablation knob — plans are identical either way
 	// (the probe only ever serves provably exact winners).
 	WithoutIncremental bool
-	// SequentialRebalance forces Rebalance to replan every job in one
-	// goroutine, strictly in admission order — the pre-partitioning
-	// behavior. The default (false) searches jobs whose reachable fleet
-	// cells are disjoint concurrently and commits their leases in the same
-	// admission order, which produces byte-identical steps, plans, and
+	// SequentialRebalance makes Rebalance search every job inline at its
+	// turn, in one goroutine, strictly in admission order: the pass runs
+	// with an empty solo set. The default (false) first searches jobs whose
+	// reachable fleet cells are disjoint concurrently, then commits in the
+	// same admission order, which produces byte-identical steps, plans, and
 	// ledger trajectories (asserted by TestRebalancePartitionedDeterminism);
 	// the knob exists for ablation and bisection.
 	SequentialRebalance bool
@@ -210,13 +211,9 @@ type Service struct {
 	overloaded atomic.Uint64
 	degraded   atomic.Uint64
 
-	// Speculation (see speculation.go): fleetForecast watches the ledger's
-	// capacity trajectory and fleetPredicted holds the pool keys of its
-	// last forecast, both guarded by mu; specWG tracks in-flight prefetch
-	// workers (Quiesce waits on it).
-	fleetForecast  *trace.Forecaster
-	fleetPredicted map[string]bool
-	specWG         sync.WaitGroup
+	// specWG tracks in-flight speculative prefetch workers (see
+	// speculation.go; Quiesce waits on it).
+	specWG sync.WaitGroup
 
 	specHits        atomic.Uint64
 	specMisses      atomic.Uint64
@@ -463,103 +460,84 @@ func (s *Service) degrade(ctx context.Context, j *serviceJob, searchErr error) (
 // the same inputs. In fleet mode the search runs over the shared ledger's
 // free view (pool is ignored — the ledger is authoritative) and the
 // returned plan holds a lease.
-func (s *Service) Plan(ctx context.Context, job string, pool *Pool, obj Objective, cons Constraints) (res PlanResult, err error) {
-	done := s.begin(&s.plans)
-	defer func() { done(err) }()
-	j, err := s.job(job)
-	if err != nil {
-		return PlanResult{}, err
-	}
-	if err := s.acquire(ctx); err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
-			return deg, nil
-		}
-		return PlanResult{}, err
-	}
-	defer func() { <-s.sem }()
-	if led := s.ledger(); led != nil {
-		res, err = s.planFleet(ctx, job, j, led, Plan{}, false, obj, cons)
-		if err != nil {
-			if deg, ok := s.degrade(ctx, j, err); ok {
-				return deg, nil
-			}
-		}
-		return res, err
-	}
-	sys, err := s.jobSystem(j)
-	if err != nil {
-		return PlanResult{}, err
-	}
-	pl := planner.New(sys.Model, sys.simulator, s.searchOpts(sys, obj, cons))
-	res, err = pl.PlanContext(ctx, pool)
-	if err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
-			return deg, nil
-		}
-		return res, err
-	}
-	s.recordPlan(job, j, res.Plan, obj, cons)
-	return res, nil
+func (s *Service) Plan(ctx context.Context, job string, pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
+	return s.serve(ctx, &s.plans, job, Plan{}, false, pool, obj, cons)
 }
 
 // Replan implements API: a warm replan against the job's private cache,
 // identical to System.Replan given the same request history. Fleet mode
 // behaves as in Plan. When the speculation layer precomputed this exact
 // request (see speculation.go) the cached result returns without a search
-// — and without waiting for a planner slot; the release below pairs with
-// the acquire on every later path.
-func (s *Service) Replan(ctx context.Context, job string, prev Plan, pool *Pool, obj Objective, cons Constraints) (res PlanResult, err error) {
-	done := s.begin(&s.replans)
+// and without waiting for a planner slot.
+func (s *Service) Replan(ctx context.Context, job string, prev Plan, pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
+	return s.serve(ctx, &s.replans, job, prev, true, pool, obj, cons)
+}
+
+// serve is the one request path of Plan and Replan: look the job up, take a
+// planner slot, search (leased in fleet mode), degrade a deadline-cut search
+// to the job's incumbent, and remember the result. The two calls differ only
+// in prev and in warm — whether the search uses the job's warm cache, and
+// (outside fleet mode) the speculation cache.
+func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, prev Plan, warm bool, pool *Pool, obj Objective, cons Constraints) (res PlanResult, err error) {
+	done := s.begin(class)
 	defer func() { done(err) }()
 	j, err := s.job(job)
 	if err != nil {
 		return PlanResult{}, err
 	}
 	led := s.ledger()
-	if led == nil && s.speculative() {
+	spec := warm && led == nil && !s.cfg.WithoutSpeculation
+	if spec {
 		if hit, ok := s.consultSpec(j, pool, prev, obj, cons); ok {
 			s.recordPlan(job, j, hit.Plan, obj, cons)
 			s.observeReplan(job, j, pool, hit.Plan, obj, cons)
 			return hit, nil
 		}
 	}
-	if err := s.acquire(ctx); err != nil {
+	if err = s.acquire(ctx); err == nil {
+		if led != nil {
+			res, err = s.planFleet(ctx, job, j, led, prev, warm, obj, cons)
+		} else {
+			res, err = s.search(ctx, j, prev, pool, obj, cons, s.warmFor(j, warm), false)
+		}
+		// Release before the prefetch round below, so speculation starts
+		// with at least this request's own slot idle.
+		<-s.sem
+	}
+	if err != nil {
 		if deg, ok := s.degrade(ctx, j, err); ok {
 			return deg, nil
 		}
-		return PlanResult{}, err
-	}
-	if led != nil {
-		res, err = s.planFleet(ctx, job, j, led, prev, true, obj, cons)
-		<-s.sem
-		if err != nil {
-			if deg, ok := s.degrade(ctx, j, err); ok {
-				return deg, nil
-			}
-		}
 		return res, err
 	}
+	if led == nil {
+		// planFleet's commit already recorded a fleet plan with its lease.
+		s.recordPlan(job, j, res.Plan, obj, cons)
+		if spec {
+			s.observeReplan(job, j, pool, res.Plan, obj, cons)
+		}
+	}
+	return res, nil
+}
+
+// search runs one planner search for job j over pool: the job's System with
+// the service's options, warm as the warm cache (nil = none), and, when
+// guard is set, a capacity guard over pool. Every search the service runs —
+// foreground, fleet, or prefetch — goes through it, so WithoutIncremental
+// disables the delta-scoped probe uniformly. An empty prev makes it exactly
+// a cold PlanContext.
+func (s *Service) search(ctx context.Context, j *serviceJob, prev Plan, pool *Pool, obj Objective, cons Constraints, warm *planner.WarmCache, guard bool) (PlanResult, error) {
 	sys, err := s.jobSystem(j)
 	if err != nil {
-		<-s.sem
 		return PlanResult{}, err
 	}
-	opts := s.searchOpts(sys, obj, cons)
-	opts.Warm = s.warmRef(j)
-	pl := planner.New(sys.Model, sys.simulator, opts)
-	res, err = pl.ReplanContext(ctx, prev, pool)
-	// Release before the prefetch round below, so speculation starts with
-	// at least this request's own slot idle.
-	<-s.sem
-	if err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
-			return deg, nil
-		}
-		return res, err
+	opts := sys.plannerOpts(obj, cons, sys.workerCount())
+	opts.DisableIncremental = opts.DisableIncremental || s.cfg.WithoutIncremental
+	opts.Warm = warm
+	if guard {
+		opts.Guard = planner.NewCapacityGuard(pool)
 	}
-	s.recordPlan(job, j, res.Plan, obj, cons)
-	s.observeReplan(job, j, pool, res.Plan, obj, cons)
-	return res, nil
+	return planner.New(sys.Model, sys.simulator, opts).ReplanContext(ctx, prev, pool)
 }
 
 // recordPlan remembers a job's last successful request — the seed of the
@@ -608,33 +586,11 @@ func (s *Service) planFleet(ctx context.Context, name string, j *serviceJob, led
 // pure function of the job's own-type cells — the independence property the
 // partitioned rebalance relies on.
 func (s *Service) searchFleet(ctx context.Context, name string, j *serviceJob, led *fleet.Ledger, prev Plan, warm bool, obj Objective, cons Constraints) (PlanResult, error) {
-	sys, err := s.jobSystem(j)
-	if err != nil {
-		return PlanResult{}, err
-	}
 	view := led.ViewForTypes(name, j.gpus)
 	if view.TotalGPUs() == 0 {
 		return PlanResult{}, fmt.Errorf("sailor: fleet has no free capacity for job %q", name)
 	}
-	// A warm replan whose exact view was prefetched after a fleet event
-	// (see speculation.go) answers from the speculation cache; the key
-	// pins the full view bytes, so a view an earlier commit of this pass
-	// reshaped simply misses.
-	if warm && len(prev.Stages) > 0 && s.speculative() {
-		if res, ok := s.consultSpec(j, view, prev, obj, cons); ok {
-			return res, nil
-		}
-	}
-	opts := s.searchOpts(sys, obj, cons)
-	opts.Guard = planner.NewCapacityGuard(view)
-	if warm {
-		opts.Warm = s.warmRef(j)
-	}
-	pl := planner.New(sys.Model, sys.simulator, opts)
-	if warm && len(prev.Stages) > 0 {
-		return pl.ReplanContext(ctx, prev, view)
-	}
-	return pl.PlanContext(ctx, view)
+	return s.search(ctx, j, prev, view, obj, cons, s.warmFor(j, warm), true)
 }
 
 // commitFleet installs a searched plan as job's lease and records it as the
@@ -715,7 +671,6 @@ func (s *Service) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
 		return nil, ErrNoFleet
 	}
 	broken := led.Apply(ev)
-	s.observeFleetEvent(led, broken)
 	out := make([]LeaseInfo, len(broken))
 	for i, le := range broken {
 		out[i] = wire.FromLease(le)
@@ -739,18 +694,21 @@ type rebalCand struct {
 // ascending). A job that deployed before replans warm from its last plan;
 // a never-admitted job plans cold. Jobs that find no feasible plan — or no
 // free capacity at all — are reported with action "wait" and retried on
-// the next call. Cancellation returns the steps completed so far.
+// the next call. Cancellation, and a planner queue too full to take the
+// search (ErrOverloaded), return the steps completed so far with the error.
 //
-// Jobs whose reachable fleet cells are disjoint from every other
-// candidate's — no GPU type with fleet capacity is shared — cannot contend
-// for the same GPUs, so their planner searches run concurrently (still
-// bounded by MaxConcurrent); leases are then committed strictly in
-// admission order, with the no-free-capacity pre-check re-evaluated at each
-// job's commit turn, so the steps, plans, telemetry, and ledger version
-// trajectory are byte-identical to the sequential pass. Candidates that do
-// share reachable cells keep the sequential search-at-commit-time path.
-// ServiceConfig.SequentialRebalance forces the sequential pass for every
-// job.
+// The pass has two phases. Phase one searches the solo candidates
+// concurrently (still bounded by MaxConcurrent): jobs whose reachable fleet
+// cells are disjoint from every other candidate's — no GPU type with fleet
+// capacity is shared — so no commit of this pass can change their views,
+// and each search equals the one the job would run at its own turn. Phase
+// two walks every candidate in admission order and commits: precomputed
+// plans install directly, everything else searches inline at its turn. The
+// no-free-capacity pre-check is re-evaluated at each turn, so the steps,
+// plans, telemetry, and ledger version trajectory do not depend on the solo
+// set. ServiceConfig.SequentialRebalance leaves it empty: every candidate
+// searches inline, in one goroutine (TestRebalancePartitionedDeterminism
+// asserts both settings agree byte for byte).
 func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 	led := s.ledger()
 	if led == nil {
@@ -772,19 +730,35 @@ func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 		}
 		return cands[i].name < cands[k].name
 	})
+	var solo []bool
 	if !sequential && len(cands) > 1 && led.FreeView().TotalGPUs() > 0 {
-		if solo := soloCandidates(led, cands); solo != nil {
-			return s.rebalancePartitioned(ctx, led, cands, solo)
-		}
+		solo = soloCandidates(led, cands)
 	}
-	return s.rebalanceSequential(ctx, led, cands)
-}
-
-// rebalanceSequential is the one-goroutine rebalance pass: each candidate
-// searches and commits at its own turn, in admission order.
-func (s *Service) rebalanceSequential(ctx context.Context, led *fleet.Ledger, cands []rebalCand) ([]RebalanceStep, error) {
+	type searched struct {
+		res PlanResult
+		err error
+	}
+	pre := make([]*searched, len(cands))
+	var wg sync.WaitGroup
+	for i, ok := range solo {
+		if !ok {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if s.acquire(ctx) != nil {
+				return // shed or cancelled: the job searches inline at its turn
+			}
+			c := cands[i]
+			res, err := s.searchFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
+			<-s.sem
+			pre[i] = &searched{res, err}
+		}(i)
+	}
+	wg.Wait()
 	var steps []RebalanceStep
-	for _, c := range cands {
+	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}
@@ -792,19 +766,35 @@ func (s *Service) rebalanceSequential(ctx context.Context, led *fleet.Ledger, ca
 		if len(c.prev.Stages) > 0 {
 			step.Action = "replan"
 		}
+		// Checked at each turn: earlier commits of this very pass may have
+		// consumed the global free capacity.
 		if led.FreeView().TotalGPUs() == 0 {
 			step.Action, step.Error = "wait", "no free fleet capacity"
 			steps = append(steps, step)
 			continue
 		}
-		if err := s.acquire(ctx); err != nil {
-			return steps, err
+		var res PlanResult
+		var err error
+		if p := pre[i]; p != nil {
+			if res, err = p.res, p.err; err == nil {
+				err = s.commitFleet(c.name, c.j, led, res, c.obj, c.cons)
+			}
 		}
-		// Rebalance searches always run against the job's warm cache: an
-		// admission populates it, so the preemption-driven replan that
-		// follows a capacity loss reuses the DP regions already solved.
-		res, err := s.planFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
-		<-s.sem
+		// Search inline when nothing was precomputed, or when an external
+		// tenant moved the ledger under the precomputed grant. Rebalance
+		// searches always run against the job's warm cache: an admission
+		// populates it, so the preemption-driven replan that follows a
+		// capacity loss reuses the DP regions already solved.
+		if pre[i] == nil || errors.Is(err, fleet.ErrConflict) {
+			if err = s.acquire(ctx); err != nil {
+				return steps, err
+			}
+			res, err = s.planFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
+			<-s.sem
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
+			return steps, ctxErr
+		}
 		if err != nil {
 			step.Action, step.Error = "wait", err.Error()
 		} else {
@@ -821,8 +811,8 @@ func (s *Service) rebalanceSequential(ctx context.Context, led *fleet.Ledger, ca
 // cells of its declared GPU types, so two candidates conflict exactly when
 // they share a GPU type the fleet has capacity for. The returned mask marks
 // the singleton partitions — candidates conflicting with no other — whose
-// searches may run concurrently; nil when no candidate is solo (everything
-// falls back to the sequential pass).
+// searches may run concurrently; nil when no candidate is solo (every
+// candidate then searches at its turn).
 func soloCandidates(led *fleet.Ledger, cands []rebalCand) []bool {
 	capacity := led.Capacity()
 	users := map[GPUType]int{}
@@ -855,97 +845,6 @@ func soloCandidates(led *fleet.Ledger, cands []rebalCand) []bool {
 		return nil
 	}
 	return solo
-}
-
-// rebalancePartitioned is the two-phase rebalance pass. Phase one searches
-// every solo candidate concurrently under the planner semaphore: a solo
-// job's view is a pure function of its own-type cells, which no other
-// candidate's commit can touch, so the search result is identical to the
-// one the sequential pass would compute at the job's turn. Phase two walks
-// all candidates in admission order and commits — precomputed plans install
-// directly, conflicting candidates search inline exactly as the sequential
-// pass does — so the ledger version trajectory and every step are
-// byte-identical to rebalanceSequential (asserted by
-// TestRebalancePartitionedDeterminism).
-func (s *Service) rebalancePartitioned(ctx context.Context, led *fleet.Ledger, cands []rebalCand, solo []bool) ([]RebalanceStep, error) {
-	type searched struct {
-		res PlanResult
-		err error
-	}
-	pre := make([]*searched, len(cands))
-	var wg sync.WaitGroup
-	for i := range cands {
-		if !solo[i] {
-			continue
-		}
-		pre[i] = &searched{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cands[i]
-			if err := s.acquire(ctx); err != nil {
-				pre[i].err = err
-				return
-			}
-			defer func() { <-s.sem }()
-			pre[i].res, pre[i].err = s.searchFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
-		}(i)
-	}
-	wg.Wait()
-	var steps []RebalanceStep
-	for i, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return steps, err
-		}
-		step := RebalanceStep{Job: c.name, Priority: c.pri, Action: "admit"}
-		if len(c.prev.Stages) > 0 {
-			step.Action = "replan"
-		}
-		// The no-free-capacity pre-check is re-evaluated at each commit
-		// turn: it reads global free capacity, which earlier commits of
-		// this very pass may have consumed.
-		if led.FreeView().TotalGPUs() == 0 {
-			step.Action, step.Error = "wait", "no free fleet capacity"
-			steps = append(steps, step)
-			continue
-		}
-		var res PlanResult
-		var err error
-		inline := func() {
-			if err = s.acquire(ctx); err != nil {
-				return
-			}
-			res, err = s.planFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
-			<-s.sem
-		}
-		switch {
-		case pre[i] == nil:
-			// A conflicting candidate: its view depends on this pass's
-			// earlier commits, so search at its turn, like the sequential
-			// pass.
-			inline()
-		case pre[i].err != nil:
-			err = pre[i].err
-		default:
-			res = pre[i].res
-			if err = s.commitFleet(c.name, c.j, led, res, c.obj, c.cons); errors.Is(err, fleet.ErrConflict) {
-				// An external tenant moved the ledger under the
-				// precomputed grant; fall back to a fresh inline search.
-				inline()
-			}
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
-			return steps, ctxErr
-		}
-		if err != nil {
-			step.Action, step.Error = "wait", err.Error()
-		} else {
-			r := wire.FromResult(res)
-			step.Result = &r
-		}
-		steps = append(steps, step)
-	}
-	return steps, nil
 }
 
 // FleetStats implements API with a consistent ledger snapshot.

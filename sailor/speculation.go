@@ -9,11 +9,9 @@ package sailor
 // was precomputed returns instantly with the cached result, marked
 // Result.SpeculativeHit; everything else falls through to the ordinary
 // search, and a miss purges the job's remaining entries (the forecast was
-// wrong, so whatever else it predicted is stale too). In fleet mode the
-// service forecasts the ledger's capacity trajectory instead: FleetEvent
-// prefetches the replans its broken leases will need at the next
-// Rebalance, and a capacity level the forecast did not predict invalidates
-// every job's speculation.
+// wrong, so whatever else it predicted is stale too). Fleet mode never
+// speculates: a fleet replan only runs inside a Rebalance the caller waits
+// for anyway, and a prefetch of it rarely matched the view the pass saw.
 //
 // Exactness: a prefetched result is a real planner search over a clone of
 // the job's warm cache — the exact cache state the foreground search would
@@ -31,7 +29,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/fleet"
 	"repro/internal/planner"
 	"repro/internal/trace"
 )
@@ -123,20 +120,6 @@ func (c *specCache) purge() {
 	c.order = nil
 }
 
-// speculative reports whether the speculation layer is on.
-func (s *Service) speculative() bool { return !s.cfg.WithoutSpeculation }
-
-// searchOpts is plannerOpts plus the service-level ablation knobs: every
-// search the service runs — foreground or prefetch — goes through it, so
-// WithoutIncremental disables the delta-scoped probe uniformly.
-func (s *Service) searchOpts(sys *System, obj Objective, cons Constraints) planner.Options {
-	opts := sys.plannerOpts(obj, cons, sys.workerCount())
-	if s.cfg.WithoutIncremental {
-		opts.DisableIncremental = true
-	}
-	return opts
-}
-
 // consultSpec answers a replan from the job's speculation cache when the
 // exact request was precomputed. A pending prefetch is joined, not raced:
 // the result it is already computing is the result the foreground search
@@ -173,9 +156,13 @@ func (s *Service) adoptSpec(j *serviceJob, e *specEntry) {
 	s.mu.Unlock()
 }
 
-// warmRef reads the job's current warm cache under the service lock:
-// speculative adoption swaps the pointer, so bare reads would race.
-func (s *Service) warmRef(j *serviceJob) *planner.WarmCache {
+// warmFor returns the job's current warm cache when warm is set (nil
+// otherwise), read under the service lock: speculative adoption swaps the
+// pointer, so bare reads would race.
+func (s *Service) warmFor(j *serviceJob, warm bool) *planner.WarmCache {
+	if !warm {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.warm
@@ -188,13 +175,10 @@ type specTask struct {
 }
 
 // observeReplan feeds a completed replan into the job's forecaster and
-// launches a prefetch round for the predicted next pools. Called after the
-// foreground result is in hand (and its planner slot released), so the
-// prefetch competes only for idle capacity.
+// launches a prefetch round for the predicted next pools. Called, with the
+// layer on, after the foreground result is in hand (and its planner slot
+// released), so the prefetch competes only for idle capacity.
 func (s *Service) observeReplan(name string, j *serviceJob, pool *Pool, plan Plan, obj Objective, cons Constraints) {
-	if !s.speculative() {
-		return
-	}
 	s.mu.Lock()
 	if s.jobs[name] != j {
 		s.mu.Unlock()
@@ -214,23 +198,17 @@ func (s *Service) observeReplan(name string, j *serviceJob, pool *Pool, plan Pla
 			tasks = append(tasks, specTask{e, p})
 		}
 	}
-	s.launchPrefetch(j, tasks, plan, obj, cons, nil)
-}
-
-// launchPrefetch runs tasks on one background worker, sequentially — one
-// worker per round holds at most one planner slot, so a round can always
-// proceed whenever the service is otherwise idle, at any MaxConcurrent.
-// led, when non-nil, makes the searches fleet-style (capacity guard over
-// the task pool).
-func (s *Service) launchPrefetch(j *serviceJob, tasks []specTask, prev Plan, obj Objective, cons Constraints, led *fleet.Ledger) {
 	if len(tasks) == 0 {
 		return
 	}
+	// One background worker runs the round's tasks sequentially, so it holds
+	// at most one planner slot: a round can always proceed whenever the
+	// service is otherwise idle, at any MaxConcurrent.
 	s.specWG.Add(1)
 	go func() {
 		defer s.specWG.Done()
 		for _, t := range tasks {
-			s.prefetchOne(j, t, prev, obj, cons, led)
+			s.prefetchOne(j, t, plan, obj, cons)
 		}
 	}()
 }
@@ -239,7 +217,7 @@ func (s *Service) launchPrefetch(j *serviceJob, tasks []specTask, prev Plan, obj
 // non-blocking: speculation only ever uses capacity the foreground load
 // left idle, and a busy semaphore resolves the entry as a miss rather than
 // queueing work the forecast may not even need.
-func (s *Service) prefetchOne(j *serviceJob, t specTask, prev Plan, obj Objective, cons Constraints, led *fleet.Ledger) {
+func (s *Service) prefetchOne(j *serviceJob, t specTask, prev Plan, obj Objective, cons Constraints) {
 	defer close(t.e.done)
 	select {
 	case s.sem <- struct{}{}:
@@ -247,17 +225,7 @@ func (s *Service) prefetchOne(j *serviceJob, t specTask, prev Plan, obj Objectiv
 		return
 	}
 	defer func() { <-s.sem }()
-	sys, err := s.jobSystem(j)
-	if err != nil {
-		return
-	}
-	opts := s.searchOpts(sys, obj, cons)
-	opts.Warm = t.e.warm
-	if led != nil {
-		opts.Guard = planner.NewCapacityGuard(t.pool)
-	}
-	pl := planner.New(sys.Model, sys.simulator, opts)
-	res, err := pl.ReplanContext(context.Background(), prev, t.pool)
+	res, err := s.search(context.Background(), j, prev, t.pool, obj, cons, t.e.warm, false)
 	if err != nil {
 		return
 	}
@@ -265,71 +233,8 @@ func (s *Service) prefetchOne(j *serviceJob, t specTask, prev Plan, obj Objectiv
 	s.specPrecomputed.Add(1)
 }
 
-// observeFleetEvent is FleetEvent's speculation hook. The service-level
-// forecaster watches the ledger's capacity trajectory; a capacity level the
-// previous forecast did not predict invalidates every job's speculation
-// (the cluster moved somewhere the precomputed plans never anticipated).
-// Then each job whose lease the event broke gets a prefetch round for the
-// warm replan it will run at the next Rebalance, against its current
-// ledger view.
-func (s *Service) observeFleetEvent(led *fleet.Ledger, broken []fleet.Lease) {
-	if !s.speculative() {
-		return
-	}
-	capacity := led.Capacity()
-	s.mu.Lock()
-	if s.fleet != led {
-		s.mu.Unlock()
-		return
-	}
-	predicted := s.fleetPredicted[capacity.String()]
-	if s.fleetForecast == nil {
-		s.fleetForecast = trace.NewForecaster()
-	}
-	s.fleetForecast.ObservePool(capacity)
-	preds := s.fleetForecast.Forecast(specForecastK)
-	s.fleetPredicted = make(map[string]bool, len(preds))
-	for _, p := range preds {
-		s.fleetPredicted[p.String()] = true
-	}
-	type cand struct {
-		name string
-		j    *serviceJob
-		base *planner.WarmCache
-		prev Plan
-		obj  Objective
-		cons Constraints
-	}
-	var jobs []*serviceJob
-	var cands []cand
-	for _, le := range broken {
-		if j, ok := s.jobs[le.Job]; ok && len(j.lastPlan.Stages) > 0 {
-			cands = append(cands, cand{le.Job, j, j.warm, j.lastPlan, j.lastObj, j.lastCons})
-		}
-	}
-	if !predicted {
-		for _, j := range s.jobs {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.spec.purge()
-	}
-	for _, c := range cands {
-		view := led.ViewForTypes(c.name, c.j.gpus)
-		if view.TotalGPUs() == 0 {
-			continue
-		}
-		if e := c.j.spec.begin(specKey(view, c.prev, c.obj, c.cons)); e != nil {
-			e.base, e.warm = c.base, c.base.Clone()
-			s.launchPrefetch(c.j, []specTask{{e, view}}, c.prev, c.obj, c.cons, led)
-		}
-	}
-}
-
 // Quiesce blocks until every in-flight speculative prefetch has resolved.
-// Replay tools and benchmarks call it between steps so the speculation
+// Benchmarks and tests call it between steps so the speculation
 // cache — and the warm-cache trajectory behind it — is a deterministic
 // function of the request history rather than of scheduling.
 func (s *Service) Quiesce() { s.specWG.Wait() }

@@ -2,6 +2,7 @@ package sailor
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -95,76 +96,51 @@ func TestSpeculativeReplanParity(t *testing.T) {
 	}
 }
 
-// TestFleetSpeculationParity: a fleet event that breaks a lease prefetches
-// the replan the next Rebalance will run; the rebalance step comes back
-// marked SpeculativeHit and byte-identical to what an ablated service
-// computes in the foreground, and the ledger trajectories stay identical.
-func TestFleetSpeculationParity(t *testing.T) {
-	zone := Zone{Region: "us-central1", Name: "us-central1-a"}
-	events := []TraceEvent{
-		{At: 1 * time.Hour, Zone: zone, GPU: A100, Delta: -12},
-		{At: 2 * time.Hour, Zone: zone, GPU: A100, Delta: +12},
-		{At: 3 * time.Hour, Zone: zone, GPU: A100, Delta: -12},
+// TestFleetModeNeverSpeculates replays a fleet scenario with speculation
+// on, quiescing before every Rebalance the way the replay tools do: no
+// prefetch may run and no rebalance step may carry the SpeculativeHit
+// marker — fleet replans are always foreground searches.
+func TestFleetModeNeverSpeculates(t *testing.T) {
+	sc, ok := ScenarioByName("preemption-storm")
+	if !ok {
+		t.Fatal("preemption-storm scenario not registered")
 	}
-	run := func(without bool) ([]string, int, uint64) {
-		svc := NewService(ServiceConfig{Workers: 2, MaxConcurrent: 4, WithoutSpeculation: without})
-		if err := svc.OpenJob("tenant", OPT350M(), []GPUType{A100}, 0); err != nil {
+	led := NewLedger(NewPool())
+	led.SetJobCap(sc.Defaults.Base / 2)
+	svc := NewService(ServiceConfig{Workers: 2, MaxConcurrent: 4, Fleet: led})
+	for i := 0; i < 3; i++ {
+		if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), sc.GPUs, 3-i); err != nil {
 			t.Fatal(err)
 		}
-		capacity := NewPool().Set(zone, A100, 16)
-		if err := svc.SetFleet(capacity, 0); err != nil {
+	}
+	replans := 0
+	for i, ev := range sc.TraceWith(1, ScenarioOpts{}).Events {
+		if _, err := svc.FleetEvent(ev); err != nil {
 			t.Fatal(err)
-		}
-		if _, err := svc.Rebalance(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		var steps []string
-		hits := 0
-		for i, ev := range events {
-			if _, err := svc.FleetEvent(ev); err != nil {
-				t.Fatalf("without=%v event %d: %v", without, i, err)
-			}
-			svc.Quiesce()
-			rb, err := svc.Rebalance(context.Background())
-			if err != nil {
-				t.Fatalf("without=%v rebalance %d: %v", without, i, err)
-			}
-			for _, s := range rb {
-				if s.Result == nil {
-					t.Fatalf("without=%v rebalance %d: job %q waiting: %s", without, i, s.Job, s.Error)
-				}
-				res := s.Result.Result()
-				if res.SpeculativeHit {
-					hits++
-				}
-				res.SpeculativeHit = false
-				steps = append(steps, s.Job+"|"+s.Action+"|"+canonicalResult(t, res))
-			}
 		}
 		svc.Quiesce()
-		st, err := svc.Stats()
+		steps, err := svc.Rebalance(context.Background())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("event %d: %v", i, err)
 		}
-		return steps, hits, st.SpecHits
-	}
-	on, onHits, onStat := run(false)
-	off, offHits, _ := run(true)
-	if len(on) != len(off) {
-		t.Fatalf("step counts diverged: %d vs %d", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Errorf("rebalance step %d: speculation changed the outcome:\non:  %s\noff: %s", i, on[i], off[i])
+		for _, s := range steps {
+			if s.Result != nil && s.Result.SpeculativeHit {
+				t.Errorf("event %d: job %s served a speculative hit in fleet mode", i, s.Job)
+			}
+			if s.Action == "replan" && s.Result != nil {
+				replans++
+			}
 		}
 	}
-	if onHits == 0 {
-		t.Error("no rebalance step was answered from the prefetched fleet replans")
+	svc.Quiesce()
+	st, err := svc.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if offHits != 0 {
-		t.Errorf("ablated service marked %d speculative hits", offHits)
+	if replans == 0 {
+		t.Fatal("the scenario never broke and replanned a lease; the test proves nothing")
 	}
-	if onStat != uint64(onHits) {
-		t.Errorf("SpecHits=%d but %d steps carried the marker", onStat, onHits)
+	if st.SpecPrecomputed != 0 || st.SpecHits != 0 {
+		t.Errorf("fleet mode speculated: precomputed=%d hits=%d", st.SpecPrecomputed, st.SpecHits)
 	}
 }
